@@ -5,18 +5,18 @@
 // Usage:
 //
 //	cobra-bench [-dur 600] [-train 300] [-seed 2001] [-em 10] [-run all]
-//	cobra-bench -run micro [-benchout DIR | -benchout FILE.json]
+//	cobra-bench -run micro [-benchout FILE.json]
 //
 // -run selects one experiment: table1, table2, table3, table4, fig9,
 // temporal, clustering, shots, audiovsav, keywords, parallelhmm, all.
 // "micro" (not part of "all") runs kernel/engine microbenchmarks —
 // including serial-vs-parallel pairs of the kernel's morsel-parallel
 // select/aggregate/join over 1M-row BATs — and prints the parallel
-// speedup per operator. With -benchout ending in .json, all results
-// are written as one combined machine-readable file (the format
+// speedup per operator. -benchout names a .json file receiving all
+// results as one combined machine-readable file (the format
 // cmd/benchdiff and the CI bench-gate consume; the committed
-// BENCH_baseline.json is produced this way); otherwise -benchout names
-// a directory receiving one BENCH_<op>.json per benchmark.
+// BENCH_baseline.json is produced this way); any other path is
+// rejected.
 package main
 
 import (
@@ -32,7 +32,7 @@ import (
 	"cobra/internal/hmm"
 )
 
-// benchOut is the -benchout directory ("" disables BENCH_*.json files).
+// benchOut is the -benchout .json path ("" prints results only).
 var benchOut string
 
 func main() {
@@ -41,8 +41,12 @@ func main() {
 	seed := flag.Int64("seed", 2001, "simulation seed")
 	em := flag.Int("em", 10, "EM iterations")
 	run := flag.String("run", "all", "experiment to run")
-	flag.StringVar(&benchOut, "benchout", "", "microbenchmark result output: a .json path for one combined file, else a directory for BENCH_*.json (empty: print only)")
+	flag.StringVar(&benchOut, "benchout", "", "microbenchmark result output: a .json path for one combined file (empty: print only)")
 	flag.Parse()
+	if benchOut != "" && !strings.HasSuffix(benchOut, ".json") {
+		fmt.Fprintf(os.Stderr, "cobra-bench: -benchout %q: want a .json file path\n", benchOut)
+		os.Exit(2)
+	}
 
 	cfg := f1.DefaultExpConfig()
 	cfg.RaceDur = *dur
@@ -93,7 +97,7 @@ var experiments = []experiment{
 	{"parallelhmm", "parallel evaluation of 6 HMMs (Figs. 3-4)", runParallelHMM},
 	{"ablation-quant", "ablation: evidence quantization levels", runQuantAblation},
 	{"ablation-anchor", "ablation: anchored vs plain EM for the AV network", runAnchorAblation},
-	{"micro", "kernel/engine microbenchmarks (BENCH_*.json)", runMicro},
+	{"micro", "kernel/engine microbenchmarks (-benchout FILE.json)", runMicro},
 }
 
 func runQuantAblation(lab *f1.Lab) error {

@@ -6,8 +6,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -37,10 +35,8 @@ type microBench struct {
 // morsel-parallel operators over 1M-row BATs, and a width sweep of the
 // parallel operators at pool widths 1, 4 and 8 so a single combined
 // file carries comparable numbers across core counts. With -benchout
-// set the results are written as machine-readable JSON: one combined
-// benchfmt.File when the path ends in .json (the format benchdiff and
-// the CI bench-gate consume), else one legacy BENCH_<name>.json per op
-// in the given directory.
+// set the results are written as one combined benchfmt.File (the
+// format benchdiff and the CI bench-gate consume).
 func runMicro(*f1.Lab) error {
 	benches := []microBench{
 		{"BATJoin", 0, benchBATJoin},
@@ -74,7 +70,6 @@ func runMicro(*f1.Lab) error {
 		{"GroupAgg1M", 0, benchGroupAgg1M},
 		{"Join1M", 0, benchJoin1M},
 		{"FusedSelectAgg1M", 0, benchFusedSelectAgg1M},
-		{"DictGroupAgg1M", 0, benchDictGroupAgg1M},
 	}
 	for _, w := range []int{1, 4, 8} {
 		for _, op := range sweep {
@@ -113,25 +108,16 @@ func runMicro(*f1.Lab) error {
 	if benchOut == "" {
 		return nil
 	}
-	if strings.HasSuffix(benchOut, ".json") {
-		f := &benchfmt.File{
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Results:    results,
-		}
-		if err := benchfmt.Write(benchOut, f); err != nil {
-			return err
-		}
-		fmt.Printf("  combined results written to %s\n", benchOut)
-		return nil
+	f := &benchfmt.File{
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Results:    results,
 	}
-	for _, res := range results {
-		if err := writeBenchJSON(res); err != nil {
-			return err
-		}
+	if err := benchfmt.Write(benchOut, f); err != nil {
+		return err
 	}
-	fmt.Printf("  BENCH_*.json written to %s\n", benchOut)
+	fmt.Printf("  combined results written to %s\n", benchOut)
 	return nil
 }
 
@@ -271,19 +257,6 @@ func widthBench(w int, fn func(b *testing.B)) func(b *testing.B) {
 	}
 }
 
-func writeBenchJSON(res benchfmt.Result) error {
-	if err := os.MkdirAll(benchOut, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(benchOut, "BENCH_"+res.Name+".json")
-	return benchfmt.Write(path, &benchfmt.File{
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Results:    []benchfmt.Result{res},
-	})
-}
-
 // bigBAT builds a [void, int] BAT of n rows with tails cycling over
 // [0, mod).
 func bigBAT(n, mod int) *monet.BAT {
@@ -351,21 +324,15 @@ func benchUnfusedSelectAgg1M(b *testing.B) {
 }
 
 // fusedAggStore builds the fused-pipeline fixture: "bench/val", a
-// 1M-row int column cycling [0, 1000), and "bench/cat", an aligned
-// 64-label string column for dictionary-domain grouping.
+// 1M-row int column cycling [0, 1000).
 func fusedAggStore(b *testing.B) *monet.Store {
 	store := monet.NewStore()
 	n := 1 << 20
 	val := monet.NewBATCap(monet.Void, monet.IntT, n)
-	cat := monet.NewBATCap(monet.Void, monet.StrT, n)
 	for i := 0; i < n; i++ {
 		val.MustInsert(monet.VoidValue(), monet.NewInt(int64(i%1000)))
-		cat.MustInsert(monet.VoidValue(), monet.NewStr(fmt.Sprintf("team-%02d", i%64)))
 	}
 	if err := store.Put("bench/val", val); err != nil {
-		b.Fatal(err)
-	}
-	if err := store.Put("bench/cat", cat); err != nil {
 		b.Fatal(err)
 	}
 	return store
@@ -387,25 +354,6 @@ func benchFusedSelectAgg1M(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := p.Aggregate(ctx, "bench/val", "sum"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchDictGroupAgg1M times the fused dictionary-domain grouped sum:
-// a ~80%-selective predicate over 1M int rows feeding a 64-group sum
-// keyed on int32 dictionary codes — the string labels decode once per
-// distinct group, never per row.
-func benchDictGroupAgg1M(b *testing.B) {
-	store := fusedAggStore(b)
-	p := store.Pipeline("bench/val", monet.NewInt(100), monet.NewInt(899))
-	ctx := context.Background()
-	if _, _, err := p.GroupAggregate(ctx, "bench/cat", "bench/val", "sum"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.GroupAggregate(ctx, "bench/cat", "bench/val", "sum"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,7 +54,10 @@ func (b *BAT) Avg() (float64, error) {
 	if b.Len() == 0 {
 		return math.NaN(), nil
 	}
-	s, _ := b.Sum()
+	s, err := b.Sum()
+	if err != nil {
+		return 0, err
+	}
 	return s / float64(b.Len()), nil
 }
 
@@ -152,168 +155,155 @@ func (b *BAT) Group() (members, groups *BAT) {
 
 // GroupSum computes, for a BAT [g, x] of numeric x, the per-group sum,
 // returned as a BAT [g, dbl].
-func (b *BAT) GroupSum() (*BAT, error) {
-	return b.groupedFold("sum", func(acc, x float64) float64 { return acc + x }, 0, false)
-}
+func (b *BAT) GroupSum() (*BAT, error) { return b.groupFold("sum") }
 
 // GroupCount computes the per-group association count as [g, int].
-// Large inputs count morsel-parallel; per-morsel counts merge in
-// morsel order, preserving the serial first-occurrence group order.
-// Integer-domain and string heads take the arena-backed fast path:
-// per-morsel group tables live in recycled scratch and only the
-// exact-size partials are allocated.
-func (b *BAT) GroupCount() (*BAT, error) {
-	counts := map[string]int64{}
-	order := []Value{}
-	if p, ok := poolFor(b.Len()); ok {
-		if out, ok := b.groupParFast(p, nil, 0, true); ok {
-			return out, nil
-		}
-		parts := make([]groupPart[int64], numMorsels(b.Len()))
-		runMorsels(p, b.Len(), hPoolAggLat, hPoolAggSpd, func(m, lo, hi int) {
-			// Sized for the worst case (every row its own group) so the
-			// per-row loop never grows a slice or rehashes the map; the
-			// scratch is MorselSize-bounded and dies with the morsel.
-			part := groupPart[int64]{
-				order: make([]Value, 0, hi-lo),
-				keys:  make([]string, 0, hi-lo),
-				accs:  make(map[string]int64, hi-lo),
-			}
-			for i := lo; i < hi; i++ {
-				h := b.head.Get(i)
-				k := h.String()
-				if _, seen := part.accs[k]; !seen {
-					part.order = append(part.order, h)
-					part.keys = append(part.keys, k)
-				}
-				part.accs[k]++
-			}
-			parts[m] = part
-		})
-		for _, part := range parts {
-			for gi, k := range part.keys {
-				if _, seen := counts[k]; !seen {
-					order = append(order, part.order[gi])
-				}
-				counts[k] += part.accs[k]
-			}
-		}
-	} else {
-		for i := 0; i < b.Len(); i++ {
-			h := b.head.Get(i)
-			k := h.String()
-			if _, seen := counts[k]; !seen {
-				order = append(order, h)
-			}
-			counts[k]++
-		}
-	}
-	out := NewBAT(materialType(b.head.Type()), IntT)
-	for _, h := range order {
-		out.MustInsert(h, NewInt(counts[h.String()]))
-	}
-	return out, nil
-}
+func (b *BAT) GroupCount() (*BAT, error) { return b.groupFold("count") }
 
 // GroupMax computes the per-group maximum tail as [g, dbl].
-func (b *BAT) GroupMax() (*BAT, error) {
-	return b.groupedFold("max", math.Max, math.Inf(-1), true)
-}
+func (b *BAT) GroupMax() (*BAT, error) { return b.groupFold("max") }
 
 // GroupMin computes the per-group minimum tail as [g, dbl].
-func (b *BAT) GroupMin() (*BAT, error) {
-	return b.groupedFold("min", math.Min, math.Inf(1), true)
+func (b *BAT) GroupMin() (*BAT, error) { return b.groupFold("min") }
+
+// GroupAvg computes the per-group mean tail as [g, dbl]: each group's
+// sum over its count, both read from the same group slot.
+func (b *BAT) GroupAvg() (*BAT, error) { return b.groupFold("avg") }
+
+// Grouped aggregation is one typed fold, run the same way at every
+// pool width. The rows split into one contiguous, morsel-aligned chunk
+// per pool worker (runChunks); each chunk folds its rows into a
+// groupPart through an arena-recycled key→slot map, and the parts
+// merge in chunk order. Chunk order is row order, so groups come out
+// in first-occurrence order and counts, minima, maxima and
+// integer-valued sums are identical at every width; with one worker
+// the fold is a single sequential pass.
+//
+// Heads key on their raw payload where they have one — the int64 of
+// int, oid, bit and void heads, the string of str heads — and on
+// Value.String() otherwise, so float and blob heads group exactly as
+// their rendered values do (NaN with NaN, -0 apart from 0).
+
+// groupPartCap is the initial group capacity of a chunk's part: the
+// paper's group columns (event types, shot classes, drivers) hold a
+// few dozen distinct values; larger group counts grow by doubling.
+const groupPartCap = 64
+
+// groupSlot is one group's state: the row the group first occurs at,
+// its row count and its folded tail.
+type groupSlot struct {
+	first int
+	count int64
+	acc   float64
 }
 
-// GroupAvg computes the per-group mean tail as [g, dbl].
-func (b *BAT) GroupAvg() (*BAT, error) {
-	sums, err := b.GroupSum()
-	if err != nil {
-		return nil, err
-	}
-	counts, _ := b.GroupCount()
-	out := NewBAT(materialType(b.head.Type()), FloatT)
-	for i := 0; i < sums.Len(); i++ {
-		h := sums.Head(i)
-		c, _ := counts.Find(h)
-		out.MustInsert(h, NewFloat(sums.Tail(i).Float()/float64(c.Int())))
-	}
-	return out, nil
+// groupPart is the grouped state of one chunk, groups in
+// first-occurrence order.
+type groupPart []groupSlot
+
+// groupAgg is the per-group tail fold of one grouped op: fold with its
+// identity init over the tail values val reads. A nil fold only counts.
+type groupAgg struct {
+	fold func(acc, x float64) float64
+	init float64
+	val  func(i int) float64
 }
 
-// groupPart is the per-morsel partial state of a parallel grouped
-// aggregation: the groups in first-occurrence order within the morsel
-// (order holds the head values, keys their string keys) and the
-// per-group partial accumulators.
-type groupPart[T any] struct {
-	order []Value
-	keys  []string
-	accs  map[string]T
-}
-
-// groupedFold folds the numeric tail per head group with f (which must
-// be associative with identity init, so it doubles as the combiner for
-// per-morsel partials). Large inputs fold morsel-parallel; partials
-// merge in morsel order, so group order and — for exact folds like
-// max/min or integer-valued sums — group values match the serial path
-// for every pool width.
-func (b *BAT) groupedFold(name string, f func(acc, x float64) float64, init float64, _ bool) (*BAT, error) {
-	if err := b.requireNumericTail(name); err != nil {
-		return nil, err
+// groupFold computes the grouped op ("count", "sum", "min", "max" or
+// "avg") per head group, picking the head's grouping key.
+func (b *BAT) groupFold(op string) (*BAT, error) {
+	agg := &groupAgg{}
+	switch op {
+	case "sum", "avg":
+		agg.fold = func(acc, x float64) float64 { return acc + x }
+	case "min":
+		agg.fold, agg.init = math.Min, math.Inf(1)
+	case "max":
+		agg.fold, agg.init = math.Max, math.Inf(-1)
 	}
-	accs := map[string]float64{}
-	order := []Value{}
-	if p, ok := poolFor(b.Len()); ok {
-		if out, ok := b.groupParFast(p, f, init, false); ok {
-			return out, nil
+	if agg.fold != nil {
+		if err := b.requireNumericTail(op); err != nil {
+			return nil, err
 		}
-		parts := make([]groupPart[float64], numMorsels(b.Len()))
-		runMorsels(p, b.Len(), hPoolAggLat, hPoolAggSpd, func(m, lo, hi int) {
-			// Sized for the worst case (every row its own group) so the
-			// per-row loop never grows a slice or rehashes the map; the
-			// scratch is MorselSize-bounded and dies with the morsel.
-			part := groupPart[float64]{
-				order: make([]Value, 0, hi-lo),
-				keys:  make([]string, 0, hi-lo),
-				accs:  make(map[string]float64, hi-lo),
+		agg.val = floatReader(b.tail)
+	}
+	switch h := b.head.(type) {
+	case *strColumn:
+		return foldGroups(b, op, agg, (*Arena).StrSlots, func(i int) string { return h.v[i] }), nil
+	case *voidColumn:
+		return foldGroups(b, op, agg, (*Arena).IntSlots, func(i int) int64 { return int64(i) }), nil
+	}
+	if key := intReader(b.head); key != nil {
+		return foldGroups(b, op, agg, (*Arena).IntSlots, key), nil
+	}
+	return foldGroups(b, op, agg, (*Arena).StrSlots, func(i int) string { return b.head.Get(i).String() }), nil
+}
+
+// foldGroups is the grouped fold over heads keyed by key, with
+// slotsOf picking the arena's recycled key→slot map for K.
+func foldGroups[K comparable](b *BAT, op string, agg *groupAgg, slotsOf func(*Arena) map[K]int32, key func(i int) K) *BAT {
+	parts := runChunks(b.Len(), hPoolAggLat, hPoolAggSpd, func(lo, hi int) groupPart {
+		t := make(groupPart, 0, min(hi-lo, groupPartCap))
+		a := GetArena()
+		slots := slotsOf(a)
+		for i := lo; i < hi; i++ {
+			k := key(i)
+			s, seen := slots[k]
+			if !seen {
+				s = int32(len(t))
+				t = append(t, groupSlot{first: i, acc: agg.init})
+				//cobravet:allow allochot // one insert per DISTINCT group, bounded by group count not rows; the slot map is recycled through the arena
+				slots[k] = s
 			}
-			for i := lo; i < hi; i++ {
-				h := b.head.Get(i)
-				k := h.String()
-				if _, seen := part.accs[k]; !seen {
-					part.order = append(part.order, h)
-					part.keys = append(part.keys, k)
-					part.accs[k] = init
+			t[s].count++
+			if agg.fold != nil {
+				t[s].acc = agg.fold(t[s].acc, agg.val(i))
+			}
+		}
+		PutArena(a)
+		return t
+	})
+	// Merge later chunks into the first in chunk order.
+	t := parts[0]
+	if len(parts) > 1 {
+		a := GetArena()
+		slots := slotsOf(a)
+		for g := range t {
+			slots[key(t[g].first)] = int32(g)
+		}
+		for _, part := range parts[1:] {
+			for _, p := range part {
+				k := key(p.first)
+				s, seen := slots[k]
+				if !seen {
+					s = int32(len(t))
+					t = append(t, groupSlot{first: p.first, acc: agg.init})
+					slots[k] = s
 				}
-				part.accs[k] = f(part.accs[k], b.tail.Get(i).Float())
-			}
-			parts[m] = part
-		})
-		for _, part := range parts {
-			for gi, k := range part.keys {
-				if _, seen := accs[k]; !seen {
-					order = append(order, part.order[gi])
-					accs[k] = init
+				t[s].count += p.count
+				if agg.fold != nil {
+					t[s].acc = agg.fold(t[s].acc, p.acc)
 				}
-				accs[k] = f(accs[k], part.accs[k])
 			}
 		}
-	} else {
-		for i := 0; i < b.Len(); i++ {
-			h := b.head.Get(i)
-			k := h.String()
-			if _, seen := accs[k]; !seen {
-				order = append(order, h)
-				accs[k] = init
-			}
-			accs[k] = f(accs[k], b.tail.Get(i).Float())
+		PutArena(a)
+	}
+	tail := FloatT
+	if op == "count" {
+		tail = IntT
+	}
+	out := NewBATCap(materialType(b.head.Type()), tail, len(t))
+	for _, g := range t {
+		v := NewInt(g.count)
+		switch op {
+		case "avg":
+			v = NewFloat(g.acc / float64(g.count))
+		case "sum", "min", "max":
+			v = NewFloat(g.acc)
 		}
+		out.MustInsert(b.head.Get(g.first), v)
 	}
-	out := NewBAT(materialType(b.head.Type()), FloatT)
-	for _, h := range order {
-		out.MustInsert(h, NewFloat(accs[h.String()]))
-	}
-	return out, nil
+	return out
 }
 
 // floatReader returns a raw float64 accessor over a numeric column,
@@ -340,225 +330,6 @@ func floatReader(c Column) func(i int) float64 {
 		}
 	}
 	return nil
-}
-
-// strGroupPart is the per-morsel partial of a string-keyed fast
-// grouped fold: group keys in first-occurrence order plus per-group
-// partial counts and accumulators.
-type strGroupPart struct {
-	keys   []string
-	accs   []float64
-	counts []int64
-}
-
-// groupParFast is the allocation-disciplined morsel-parallel grouped
-// fold. Heads with an integer domain (int, oid, bool) group on the
-// raw int64 payload and string heads on the raw string — both
-// bijective with the generic path's Value.String key, so group
-// composition, first-occurrence order and values are identical to the
-// generic morsel merge. Per-morsel group tables live in arena scratch
-// (slot maps plus flat key/count/acc buffers); only the exact-size
-// partials and the output BAT are allocated. Returns ok=false for
-// head types it cannot key, sending the caller to the generic path.
-func (b *BAT) groupParFast(p *Pool, f func(acc, x float64) float64, init float64, counting bool) (*BAT, bool) {
-	var valAt func(i int) float64
-	if !counting {
-		if valAt = floatReader(b.tail); valAt == nil {
-			return nil, false
-		}
-	}
-	if keyAt := intReader(b.head); keyAt != nil {
-		return b.groupParInt(p, keyAt, valAt, f, init, counting), true
-	}
-	if sc, ok := b.head.(*strColumn); ok {
-		return b.groupParStr(p, sc.v, valAt, f, init, counting), true
-	}
-	return nil, false
-}
-
-// groupParInt is the integer-keyed arm of groupParFast.
-func (b *BAT) groupParInt(p *Pool, keyAt func(i int) int64, valAt func(i int) float64, f func(acc, x float64) float64, init float64, counting bool) *BAT {
-	parts := make([]fusedGroupPart, numMorsels(b.Len()))
-	runMorsels(p, b.Len(), hPoolAggLat, hPoolAggSpd, func(m, lo, hi int) {
-		a := GetArena()
-		slots := a.IntSlots()
-		keys := a.Int64s(hi - lo)
-		counts := a.Int64s(hi - lo)
-		var accs []float64
-		if !counting {
-			accs = a.Floats(hi - lo)
-		}
-		ng := 0
-		for i := lo; i < hi; i++ {
-			k := keyAt(i)
-			slot, seen := slots[k]
-			if !seen {
-				slot = int32(ng)
-				//cobravet:allow allochot // arena slot map: one insert per DISTINCT group, bounded by group count not rows, and the map is recycled across morsels
-				slots[k] = slot
-				keys[ng] = k
-				counts[ng] = 0
-				if !counting {
-					accs[ng] = init
-				}
-				ng++
-			}
-			counts[slot]++
-			if !counting {
-				accs[slot] = f(accs[slot], valAt(i))
-			}
-		}
-		// Partials outlive the morsel: copy exact-size out of the arena.
-		part := fusedGroupPart{
-			keys:   append([]int64(nil), keys[:ng]...),
-			counts: append([]int64(nil), counts[:ng]...),
-		}
-		if !counting {
-			part.accs = append([]float64(nil), accs[:ng]...)
-		}
-		parts[m] = part
-		PutArena(a)
-	})
-	total := 0
-	for _, part := range parts {
-		total += len(part.keys)
-	}
-	a := GetArena()
-	gslots := a.IntSlots()
-	keys := a.Int64s(total)
-	counts := a.Int64s(total)
-	var accs []float64
-	if !counting {
-		accs = a.Floats(total)
-	}
-	ng := 0
-	for _, part := range parts {
-		for gi, k := range part.keys {
-			slot, seen := gslots[k]
-			if !seen {
-				slot = int32(ng)
-				gslots[k] = slot
-				keys[ng] = k
-				counts[ng] = 0
-				if !counting {
-					accs[ng] = init
-				}
-				ng++
-			}
-			counts[slot] += part.counts[gi]
-			if !counting {
-				accs[slot] = f(accs[slot], part.accs[gi])
-			}
-		}
-	}
-	ht := b.head.Type()
-	var out *BAT
-	if counting {
-		out = NewBATCap(materialType(ht), IntT, ng)
-		for g := 0; g < ng; g++ {
-			out.MustInsert(typedInt(ht, keys[g]), NewInt(counts[g]))
-		}
-	} else {
-		out = NewBATCap(materialType(ht), FloatT, ng)
-		for g := 0; g < ng; g++ {
-			out.MustInsert(typedInt(ht, keys[g]), NewFloat(accs[g]))
-		}
-	}
-	PutArena(a)
-	return out
-}
-
-// groupParStr is the string-keyed arm of groupParFast. Grouping on the
-// raw string skips both the Get boxing and the strconv.Quote of the
-// generic path's Value.String key.
-func (b *BAT) groupParStr(p *Pool, sv []string, valAt func(i int) float64, f func(acc, x float64) float64, init float64, counting bool) *BAT {
-	parts := make([]strGroupPart, numMorsels(b.Len()))
-	runMorsels(p, b.Len(), hPoolAggLat, hPoolAggSpd, func(m, lo, hi int) {
-		a := GetArena()
-		slots := a.StrSlots()
-		keys := a.Strs(hi - lo)
-		counts := a.Int64s(hi - lo)
-		var accs []float64
-		if !counting {
-			accs = a.Floats(hi - lo)
-		}
-		ng := 0
-		for i := lo; i < hi; i++ {
-			k := sv[i]
-			slot, seen := slots[k]
-			if !seen {
-				slot = int32(ng)
-				//cobravet:allow allochot // arena slot map: one insert per DISTINCT group, bounded by group count not rows, and the map is recycled across morsels
-				slots[k] = slot
-				keys[ng] = k
-				counts[ng] = 0
-				if !counting {
-					accs[ng] = init
-				}
-				ng++
-			}
-			counts[slot]++
-			if !counting {
-				accs[slot] = f(accs[slot], valAt(i))
-			}
-		}
-		// Partials outlive the morsel: copy exact-size out of the arena.
-		part := strGroupPart{
-			keys:   append([]string(nil), keys[:ng]...),
-			counts: append([]int64(nil), counts[:ng]...),
-		}
-		if !counting {
-			part.accs = append([]float64(nil), accs[:ng]...)
-		}
-		parts[m] = part
-		PutArena(a)
-	})
-	total := 0
-	for _, part := range parts {
-		total += len(part.keys)
-	}
-	a := GetArena()
-	gslots := a.StrSlots()
-	keys := a.Strs(total)
-	counts := a.Int64s(total)
-	var accs []float64
-	if !counting {
-		accs = a.Floats(total)
-	}
-	ng := 0
-	for _, part := range parts {
-		for gi, k := range part.keys {
-			slot, seen := gslots[k]
-			if !seen {
-				slot = int32(ng)
-				gslots[k] = slot
-				keys[ng] = k
-				counts[ng] = 0
-				if !counting {
-					accs[ng] = init
-				}
-				ng++
-			}
-			counts[slot] += part.counts[gi]
-			if !counting {
-				accs[slot] = f(accs[slot], part.accs[gi])
-			}
-		}
-	}
-	var out *BAT
-	if counting {
-		out = NewBATCap(StrT, IntT, ng)
-		for g := 0; g < ng; g++ {
-			out.MustInsert(NewStr(keys[g]), NewInt(counts[g]))
-		}
-	} else {
-		out = NewBATCap(StrT, FloatT, ng)
-		for g := 0; g < ng; g++ {
-			out.MustInsert(NewStr(keys[g]), NewFloat(accs[g]))
-		}
-	}
-	PutArena(a)
-	return out
 }
 
 // Histogram returns a BAT [tail-value, int] counting occurrences of

@@ -51,28 +51,31 @@ func TestSelectAllocsPerMorsel(t *testing.T) {
 }
 
 func TestGroupSumAllocsPerMorsel(t *testing.T) {
-	var got float64
-	withWorkers(t, 4, func() {
-		bat := NewBATCap(IntT, IntT, allocRows)
-		for i := 0; i < allocRows; i++ {
-			bat.MustInsert(NewInt(int64(i%64)), NewInt(int64(i%100)))
-		}
-		got = allocsPerOp(5, func() {
-			if _, err := bat.GroupSum(); err != nil {
-				t.Fatal(err)
-			}
+	bat := NewBATCap(IntT, IntT, allocRows)
+	for i := 0; i < allocRows; i++ {
+		bat.MustInsert(NewInt(int64(i%64)), NewInt(int64(i%100)))
+	}
+	for _, width := range []int{1, 4} {
+		var got float64
+		withWorkers(t, width, func() {
+			got = allocsPerOp(5, func() {
+				if _, err := bat.GroupSum(); err != nil {
+					t.Fatal(err)
+				}
+			})
 		})
-	})
-	// The arena-backed typed grouping (groupParFast) reuses every
-	// per-morsel table and key buffer across morsels and operations, so
-	// steady state is a fixed handful of allocations per OPERATION —
-	// fan-out plumbing, partial copy-outs, and the output BAT — not per
-	// morsel. The ceiling is a tenth of the pre-arena per-morsel budget
-	// (allocBudget(24)); regressing past it means either the typed fast
-	// path stopped engaging or arena reuse broke. Measured steady state
-	// is ~31/op against a ceiling of ~179.
-	if max := allocBudget(24) / 10; got > max {
-		t.Fatalf("GroupSum allocates %.0f/op, budget %.0f (arena reuse broken or fast path disengaged?)", got, max)
+		// The grouped fold keeps one partial per pool worker, not per
+		// morsel, and recycles its key→slot maps through the arena, so
+		// steady state is a fixed handful of allocations per OPERATION —
+		// fan-out plumbing, the per-worker partials and the output BAT.
+		// The ceiling is a tenth of the pre-arena per-morsel budget
+		// (allocBudget(24)); regressing past it means partials went back
+		// to per-morsel or arena reuse broke. Measured steady state is
+		// ~11/op at width 1 and ~24/op at width 4 against a ceiling of
+		// ~35.
+		if max := allocBudget(24) / 10; got > max {
+			t.Fatalf("width %d: GroupSum allocates %.0f/op, budget %.0f (per-morsel partials or arena reuse broken?)", width, got, max)
+		}
 	}
 }
 

@@ -83,21 +83,14 @@ func (b *arenaBuf[T]) retained() int {
 // and PutArena. The zero Arena is ready to use.
 type Arena struct {
 	ints     arenaBuf[int]
-	i32s     arenaBuf[int32]
 	i64s     arenaBuf[int64]
 	f64s     arenaBuf[float64]
-	strs     arenaBuf[string]
-	vals     arenaBuf[Value]
 	intSlots map[int64]int32
 	strSlots map[string]int32
 }
 
 // Ints returns a reusable []int of length n; contents are unspecified.
 func (a *Arena) Ints(n int) []int { return a.ints.get(n) }
-
-// Int32s returns a reusable []int32 of length n; contents are
-// unspecified.
-func (a *Arena) Int32s(n int) []int32 { return a.i32s.get(n) }
 
 // Int64s returns a reusable []int64 of length n; contents are
 // unspecified.
@@ -106,14 +99,6 @@ func (a *Arena) Int64s(n int) []int64 { return a.i64s.get(n) }
 // Floats returns a reusable []float64 of length n; contents are
 // unspecified.
 func (a *Arena) Floats(n int) []float64 { return a.f64s.get(n) }
-
-// Strs returns a reusable []string of length n; contents are
-// unspecified.
-func (a *Arena) Strs(n int) []string { return a.strs.get(n) }
-
-// Values returns a reusable []Value of length n; contents are
-// unspecified.
-func (a *Arena) Values(n int) []Value { return a.vals.get(n) }
 
 // IntSlots returns the arena's reusable int64→slot map, emptied. The
 // map reaches a steady-state bucket count after a few morsels and
@@ -139,21 +124,15 @@ func (a *Arena) StrSlots() map[string]int32 {
 // get calls reuses the same buffers (reset-not-free).
 func (a *Arena) Reset() {
 	a.ints.reset()
-	a.i32s.reset()
 	a.i64s.reset()
 	a.f64s.reset()
-	a.strs.reset()
-	a.vals.reset()
 }
 
 // retainedBytes estimates the scratch capacity the arena keeps parked.
 func (a *Arena) retainedBytes() int64 {
 	n := int64(a.ints.retained())*8 +
-		int64(a.i32s.retained())*4 +
 		int64(a.i64s.retained())*8 +
-		int64(a.f64s.retained())*8 +
-		int64(a.strs.retained())*16 +
-		int64(a.vals.retained())*48
+		int64(a.f64s.retained())*8
 	n += int64(len(a.intSlots))*16 + int64(len(a.strSlots))*24
 	return n
 }

@@ -285,6 +285,34 @@ func TestGroupedAggregates(t *testing.T) {
 	}
 }
 
+// TestGroupAvgFloatHeads pins GroupAvg to the groups GroupSum and
+// GroupCount form on float heads. Heads group by their rendered value,
+// so both NaN heads form one group and -0 is a group apart from 0; a
+// Compare-based lookup (NaN equal to everything, -0 equal to 0)
+// would pair a group's sum with another group's count.
+func TestGroupAvgFloatHeads(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	heads := []float64{1, math.NaN(), math.NaN(), 0, negZero, negZero}
+	tails := []int64{10, 4, 6, 2, 8, 8}
+	b := NewBAT(FloatT, IntT)
+	for i, h := range heads {
+		b.MustInsert(NewFloat(h), NewInt(tails[i]))
+	}
+	avg, err := b.GroupAvg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]string{{"1", "10"}, {"NaN", "5"}, {"0", "2"}, {"-0", "8"}}
+	if avg.Len() != len(want) {
+		t.Fatalf("GroupAvg has %d groups, want %d:\n%s", avg.Len(), len(want), avg.Dump(0))
+	}
+	for i, w := range want {
+		if h, v := avg.Head(i).String(), avg.Tail(i).String(); h != w[0] || v != w[1] {
+			t.Fatalf("GroupAvg row %d = [%s, %s], want [%s, %s]", i, h, v, w[0], w[1])
+		}
+	}
+}
+
 func TestHistogram(t *testing.T) {
 	b := NewBAT(OIDT, StrT)
 	for i, s := range []string{"x", "y", "x", "x"} {
@@ -418,62 +446,6 @@ func TestStoreBasics(t *testing.T) {
 	s.Drop("a")
 	if s.Has("a") || s.Len() != 1 {
 		t.Fatal("Drop failed")
-	}
-}
-
-func TestParallel(t *testing.T) {
-	n := 64
-	results := make([]int, n)
-	tasks := make([]func() error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		tasks[i] = func() error { results[i] = i * i; return nil }
-	}
-	if err := Parallel(7, tasks...); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r != i*i {
-			t.Fatalf("task %d result = %d", i, r)
-		}
-	}
-}
-
-func TestParallelError(t *testing.T) {
-	boom := errors.New("boom")
-	err := Parallel(3,
-		func() error { return nil },
-		func() error { return boom },
-		func() error { return nil },
-	)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
-func TestParallelSingleThread(t *testing.T) {
-	order := []int{}
-	err := Parallel(1,
-		func() error { order = append(order, 0); return nil },
-		func() error { order = append(order, 1); return nil },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != 0 {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestParallelMap(t *testing.T) {
-	got := ParallelMap(4, 100, func(i int) int { return i * 2 })
-	for i, v := range got {
-		if v != i*2 {
-			t.Fatalf("got[%d] = %d", i, v)
-		}
-	}
-	if len(ParallelMap(4, 0, func(i int) int { return i })) != 0 {
-		t.Fatal("empty map")
 	}
 }
 

@@ -98,13 +98,52 @@ func runMorselsSpan(p *Pool, n int, lat, spd *obs.Histogram, sp *obs.Span, fn fu
 		})
 	}
 	b.Wait()
+	observeFanout(lat, spd, start, busy.Load())
+}
+
+// observeFanout records a finished fan-out's wall time into lat and
+// its busy-time/wall-time speedup, in milli-× units, into spd; nil
+// histograms are skipped.
+func observeFanout(lat, spd *obs.Histogram, start time.Time, busy int64) {
 	wall := int64(time.Since(start))
 	if lat != nil {
 		lat.ObserveNs(wall)
 	}
 	if spd != nil && wall > 0 {
-		spd.ObserveNs(busy.Load() * 1000 / wall)
+		spd.ObserveNs(busy * 1000 / wall)
 	}
+}
+
+// runChunks splits [0, n) into one contiguous, morsel-aligned chunk per
+// worker of the shared pool, runs fn on each and returns the results
+// in chunk order. Each chunk holds the rows before the next one's, so
+// merging the results in order sees rows in order, and the partial
+// state a caller keeps scales with the worker count, not the morsel
+// count. Below ParallelThreshold, or with a one-worker pool, the whole
+// range is one chunk run inline: the same code with a single worker.
+func runChunks[T any](n int, lat, spd *obs.Histogram, fn func(lo, hi int) T) []T {
+	p, ok := poolFor(n)
+	if !ok {
+		return []T{fn(0, n)}
+	}
+	nm := numMorsels(n)
+	per := (nm + p.Workers() - 1) / p.Workers() * MorselSize
+	out := make([]T, (n+per-1)/per)
+	start := time.Now()
+	var busy atomic.Int64
+	b := p.Batch()
+	for c := range out {
+		lo := c * per
+		hi := min(lo+per, n)
+		b.Submit(func() {
+			t0 := time.Now()
+			out[c] = fn(lo, hi)
+			busy.Add(int64(time.Since(t0)))
+		})
+	}
+	b.Wait()
+	observeFanout(lat, spd, start, busy.Load())
+	return out
 }
 
 // parFilterIdx evaluates pred over [0, n) in parallel morsels and

@@ -11,27 +11,24 @@ import (
 	"cobra/internal/obs"
 )
 
-// Fused vectorized pipelines: select→project→aggregate and
-// select→join-probe executed morsel-at-a-time with no intermediate
-// OID BAT between the operators. The classic operator-at-a-time path
-// materializes the qualifying positions of a range select as an []int,
-// gathers every downstream column through it, and only then
-// aggregates; a Pipeline instead pushes the predicate into the
-// consumer: each morsel finds its matching rows as in-register runs in
-// arena scratch (arena.go) and feeds them straight to the aggregate,
-// group table, or join probe. Per-morsel partials merge in morsel
-// order, so a fused result is byte-identical to the unfused one — and
-// whenever the cost gate cannot prove that identity (mixed-type or NaN
-// bounds, NaN values in a float column, inexact float sums, column
-// shapes without a typed kernel), the pipeline silently executes the
-// unfused operator-at-a-time path instead.
+// Fused vectorized pipelines: select→project→aggregate executed
+// morsel-at-a-time with no intermediate OID BAT between the operators.
+// The classic operator-at-a-time path materializes the qualifying
+// positions of a range select as an []int, gathers every downstream
+// column through it, and only then aggregates; a Pipeline instead
+// pushes the predicate into the consumer: each morsel finds its
+// matching rows as in-register runs in arena scratch (arena.go) and
+// feeds them straight to the aggregate. Per-morsel partials merge in
+// morsel order, so a fused result is byte-identical to the unfused
+// one — and whenever the cost gate cannot prove that identity
+// (mixed-type or NaN bounds, NaN values in a float column, inexact
+// float sums, column shapes without a typed kernel), the pipeline
+// silently executes the unfused operator-at-a-time path instead.
 //
 // The predicate reuses the adaptive access paths of accesspath.go:
 // zone maps prune whole morsels before the fused scan runs, crackers
 // answer with their cached position lists, and dict-encoded string
-// columns match int32 codes without ever decoding the tail
-// (dictionary-domain execution; grouped aggregation over a dict column
-// also groups on codes and decodes each distinct group label once).
+// columns match int32 codes without ever decoding the tail.
 
 // Fused-execution metrics (monet.fused.*): pipelines that ran fused vs
 // fell back to the operator-at-a-time path, rows consumed in-register,
@@ -77,7 +74,7 @@ type FusedInfo struct {
 	// the byte-identical operator-at-a-time fallback).
 	Fused bool
 	// Stages names the pipeline stages, e.g. "select→sum" or
-	// "select→group[count]".
+	// "select→runs".
 	Stages string
 	// Fallback is the cost-gate reason when Fused is false.
 	Fallback string
@@ -97,10 +94,9 @@ func (fi *FusedInfo) String() string {
 	return s
 }
 
-// Pipeline is a fused select→consume execution over a stored BAT: a
+// Pipeline is a fused select→aggregate execution over a stored BAT: a
 // range predicate over one named column, pushed directly into an
-// aggregate, grouped aggregate, or join probe over positionally
-// aligned columns of the same store.
+// aggregate over a positionally aligned column of the same store.
 type Pipeline struct {
 	s    *Store
 	pred string
@@ -372,11 +368,7 @@ func (fs *fusedSource) forEachMorsel(sp *obs.Span, fn func(k, lo, hi int)) int {
 		})
 	}
 	b.Wait()
-	wall := int64(time.Since(start))
-	hFusedLat.ObserveNs(wall)
-	if wall > 0 {
-		hFusedSpd.ObserveNs(busy.Load() * 1000 / wall)
-	}
+	observeFanout(hFusedLat, hFusedSpd, start, busy.Load())
 	return slots
 }
 

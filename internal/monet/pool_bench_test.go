@@ -93,25 +93,15 @@ func BenchmarkSerialSum1M(b *testing.B)   { withPoolWidth(b, 1, sumBody) }
 func BenchmarkParallelSum1M(b *testing.B) { withPoolWidth(b, benchWidth(), sumBody) }
 
 // benchFusedStore builds the fused-pipeline fixture: "bench/val", a
-// 1M-row int column cycling [0, 1000), and "bench/cat", an aligned
-// 64-label string column for dictionary-domain grouping.
+// 1M-row int column cycling [0, 1000).
 func benchFusedStore(b *testing.B) *Store {
 	store := NewStore()
 	n := 1 << 20
 	val := NewBATCap(Void, IntT, n)
-	cat := NewBATCap(Void, StrT, n)
-	labels := make([]Value, 64)
-	for i := range labels {
-		labels[i] = NewStr("team-" + string(rune('a'+i/8)) + string(rune('a'+i%8)))
-	}
 	for i := 0; i < n; i++ {
 		val.MustInsert(VoidValue(), NewInt(int64(i%1000)))
-		cat.MustInsert(VoidValue(), labels[i%64])
 	}
 	if err := store.Put("bench/val", val); err != nil {
-		b.Fatal(err)
-	}
-	if err := store.Put("bench/cat", cat); err != nil {
 		b.Fatal(err)
 	}
 	return store
@@ -149,30 +139,8 @@ func fusedSelectAggBody(b *testing.B) {
 	}
 }
 
-// dictGroupAggBody runs the fused dictionary-domain grouped sum: an
-// ~80%-selective predicate feeding a 64-group sum keyed on int32
-// dictionary codes, labels decoded once per group instead of per row.
-func dictGroupAggBody(b *testing.B) {
-	store := benchFusedStore(b)
-	p := store.Pipeline("bench/val", NewInt(100), NewInt(899))
-	ctx := context.Background()
-	if _, _, err := p.GroupAggregate(ctx, "bench/cat", "bench/val", "sum"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.GroupAggregate(ctx, "bench/cat", "bench/val", "sum"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkUnfusedSelectAgg1M(b *testing.B) { withPoolWidth(b, 1, unfusedSelectAggBody) }
 
 func BenchmarkFusedSelectAgg1M(b *testing.B)   { withPoolWidth(b, 1, fusedSelectAggBody) }
 func BenchmarkFusedSelectAgg1MW4(b *testing.B) { withPoolWidth(b, 4, fusedSelectAggBody) }
 func BenchmarkFusedSelectAgg1MW8(b *testing.B) { withPoolWidth(b, 8, fusedSelectAggBody) }
-
-func BenchmarkDictGroupAgg1M(b *testing.B)   { withPoolWidth(b, 1, dictGroupAggBody) }
-func BenchmarkDictGroupAgg1MW4(b *testing.B) { withPoolWidth(b, 4, dictGroupAggBody) }
-func BenchmarkDictGroupAgg1MW8(b *testing.B) { withPoolWidth(b, 8, dictGroupAggBody) }

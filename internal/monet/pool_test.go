@@ -2,6 +2,8 @@ package monet
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 )
@@ -242,44 +244,156 @@ func TestParallelAggregatesMatchSerial(t *testing.T) {
 	}
 }
 
-// TestGroupedAggregationDeterministic is the ISSUE's determinism
-// check: parallel grouped aggregation must produce byte-identical
-// results to the serial path across pool widths 1..8. Tail values are
-// integer-valued, so even the float sums are exact and order-free.
-func TestGroupedAggregationDeterministic(t *testing.T) {
-	heads := parallelTestBAT("str")
-	b := NewBAT(StrT, IntT)
-	for i := 0; i < heads.Len(); i++ {
-		b.MustInsert(heads.Tail(i), NewInt(int64(i%251)))
+// refGroupFolds is the grouped-aggregation oracle: one boxed
+// sequential pass keyed on Value.String(), groups in first-occurrence
+// order, returning the count, sum, min, max and avg BATs by op name.
+func refGroupFolds(b *BAT) map[string]*BAT {
+	type group struct {
+		head          Value
+		n             int64
+		sum, min, max float64
 	}
-	var want string
-	withWorkers(t, 1, func() {
-		sum, err := b.GroupSum()
-		if err != nil {
-			t.Fatal(err)
+	var groups []group
+	slot := map[string]int{}
+	for i := 0; i < b.Len(); i++ {
+		h := b.Head(i)
+		g, ok := slot[h.String()]
+		if !ok {
+			g = len(groups)
+			slot[h.String()] = g
+			groups = append(groups, group{head: h, min: math.Inf(1), max: math.Inf(-1)})
 		}
-		cnt, _ := b.GroupCount()
-		mx, _ := b.GroupMax()
-		mn, _ := b.GroupMin()
-		avg, _ := b.GroupAvg()
-		want = sum.Dump(0) + cnt.Dump(0) + mx.Dump(0) + mn.Dump(0) + avg.Dump(0)
-	})
-	for width := 1; width <= 8; width++ {
-		var got string
-		withWorkers(t, width, func() {
-			sum, err := b.GroupSum()
-			if err != nil {
-				t.Fatal(err)
+		x := b.Tail(i).Float()
+		gr := &groups[g]
+		gr.n++
+		gr.sum += x
+		gr.min = math.Min(gr.min, x)
+		gr.max = math.Max(gr.max, x)
+	}
+	ht := materialType(b.HeadType())
+	out := map[string]*BAT{"count": NewBAT(ht, IntT)}
+	for _, op := range []string{"sum", "min", "max", "avg"} {
+		out[op] = NewBAT(ht, FloatT)
+	}
+	for _, g := range groups {
+		out["count"].MustInsert(g.head, NewInt(g.n))
+		out["sum"].MustInsert(g.head, NewFloat(g.sum))
+		out["min"].MustInsert(g.head, NewFloat(g.min))
+		out["max"].MustInsert(g.head, NewFloat(g.max))
+		out["avg"].MustInsert(g.head, NewFloat(g.sum/float64(g.n)))
+	}
+	return out
+}
+
+// groupFixture builds an n-row [head, tail] BAT with heads of type ht
+// drawn from a few dozen distinct values — NaN, 0 and -0 among the
+// float ones — and int tails, or fractional dbl tails with NaN and
+// ±0 sprinkled in when fracTails is set.
+func groupFixture(rng *rand.Rand, ht Type, n int, fracTails bool) *BAT {
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1.5, -2.25, 1e300, math.Inf(1)}
+	tt := IntT
+	if fracTails {
+		tt = FloatT
+	}
+	b := NewBATCap(ht, tt, n)
+	for i := 0; i < n; i++ {
+		r := rng.Intn(37)
+		var h Value
+		switch ht {
+		case Void:
+			h = VoidValue()
+		case IntT:
+			h = NewInt(int64(r - 18))
+		case OIDT:
+			h = NewOID(OID(r))
+		case BoolT:
+			h = NewBool(r%2 == 0)
+		case StrT:
+			h = NewStr(fmt.Sprintf("k%02d", r))
+		case FloatT:
+			h = NewFloat(floats[r%len(floats)])
+		}
+		t := NewInt(rng.Int63n(2001) - 1000)
+		if fracTails {
+			switch x := rng.Intn(500); {
+			case x == 0:
+				t = NewFloat(math.NaN())
+			case x < 3:
+				t = NewFloat(math.Copysign(0, float64(x-2)))
+			default:
+				t = NewFloat(rng.Float64()*200 - 100)
 			}
-			cnt, _ := b.GroupCount()
-			mx, _ := b.GroupMax()
-			mn, _ := b.GroupMin()
-			avg, _ := b.GroupAvg()
-			got = sum.Dump(0) + cnt.Dump(0) + mx.Dump(0) + mn.Dump(0) + avg.Dump(0)
-		})
-		if got != want {
-			t.Fatalf("-threads %d: grouped aggregation diverged from serial\n got: %.200s\nwant: %.200s",
-				width, got, want)
+		}
+		b.MustInsert(h, t)
+	}
+	return b
+}
+
+// TestGroupedAggregationDeterministic checks every grouped op, and
+// Histogram, against the boxed oracle at pool widths 1, 4 and 8, for
+// every head type the fold keys differently, below and above
+// ParallelThreshold. Groups, counts, minima, maxima and integer-valued
+// sums match exactly at every width; fractional float sums (and the
+// averages built on them) match exactly at width 1, where the fold is
+// one sequential pass, and to rounding at wider pools, which add
+// per-worker partial sums.
+func TestGroupedAggregationDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	ops := []struct {
+		name string
+		fn   func(*BAT) (*BAT, error)
+	}{
+		{"count", (*BAT).GroupCount},
+		{"sum", (*BAT).GroupSum},
+		{"min", (*BAT).GroupMin},
+		{"max", (*BAT).GroupMax},
+		{"avg", (*BAT).GroupAvg},
+	}
+	for _, ht := range []Type{IntT, OIDT, BoolT, Void, StrT, FloatT} {
+		for _, n := range []int{1000, ParallelThreshold + MorselSize/2 + 7} {
+			for _, frac := range []bool{false, true} {
+				b := groupFixture(rng, ht, n, frac)
+				want := refGroupFolds(b)
+				for _, width := range []int{1, 4, 8} {
+					name := fmt.Sprintf("%v heads, %d rows, frac tails %v, width %d", ht, n, frac, width)
+					withWorkers(t, width, func() {
+						for _, op := range ops {
+							got, err := op.fn(b)
+							if err != nil {
+								t.Fatalf("%s: %s: %v", name, op.name, err)
+							}
+							exact := !frac || width == 1 || op.name == "count" || op.name == "min" || op.name == "max"
+							requireGroupsMatch(t, got, want[op.name], exact, name+": "+op.name)
+						}
+						requireGroupsMatch(t, b.Reverse().Histogram(), want["count"], true, name+": histogram")
+					})
+				}
+			}
+		}
+	}
+}
+
+// requireGroupsMatch compares grouped results row by row. Floats
+// compare by rendered value, which tells NaN apart from numbers and -0
+// from 0; unless exact is set, tails need only agree to a relative
+// 1e-9.
+func requireGroupsMatch(t *testing.T, got, want *BAT, exact bool, what string) {
+	t.Helper()
+	if got.Len() != want.Len() || got.HeadType() != want.HeadType() || got.TailType() != want.TailType() {
+		t.Fatalf("%s: [%v,%v] x %d, want [%v,%v] x %d", what,
+			got.HeadType(), got.TailType(), got.Len(), want.HeadType(), want.TailType(), want.Len())
+	}
+	same := func(a, b Value) bool {
+		if a.Typ == FloatT {
+			return a.String() == b.String()
+		}
+		return Equal(a, b)
+	}
+	for i := 0; i < got.Len(); i++ {
+		gh, wh, gt, wt := got.Head(i), want.Head(i), got.Tail(i), want.Tail(i)
+		near := !exact && math.Abs(gt.F-wt.F) <= 1e-9*math.Max(math.Abs(wt.F), 1)
+		if !same(gh, wh) || !same(gt, wt) && !near {
+			t.Fatalf("%s: row %d = [%s,%s], want [%s,%s]", what, i, gh, gt, wh, wt)
 		}
 	}
 }

@@ -6,8 +6,8 @@
 // two-column table of (head, tail) associations. All kernel operations
 // — selections, joins, aggregation, grouping — are defined over BATs.
 // A Store names BATs and provides atomic snapshot persistence, and
-// Parallel mirrors Monet's intra-query parallel execution operator
-// (the threadcnt block of the paper's Fig. 4).
+// the shared Pool runs the bulk operators morsel-parallel — Monet's
+// intra-query parallelism (the threadcnt block of the paper's Fig. 4).
 //
 // Unlike the 2002 Monet, the Store can be made durable: a Journal
 // attached via SetJournal receives every store-level mutation (Put,

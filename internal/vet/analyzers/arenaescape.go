@@ -8,8 +8,8 @@ import (
 )
 
 // ArenaEscape enforces the morsel-arena borrowing discipline: scratch
-// obtained from a GetArena() handle (Ints, Int64s, Floats, Strs,
-// Values, IntSlots, StrSlots, ...) is valid only until the handle is
+// obtained from a GetArena() handle (Ints, Int64s, Floats, IntSlots,
+// StrSlots) is valid only until the handle is
 // released with PutArena or Reset, and only inside the scope that
 // borrowed it. Three ways of breaking that are reported:
 //
@@ -36,8 +36,8 @@ var ArenaEscape = &vet.Analyzer{
 // scratch. Lookup tables (the *Slots maps) follow the same lifetime
 // rule as the slices.
 var arenaBufMethods = map[string]bool{
-	"Ints": true, "Int32s": true, "Int64s": true, "Floats": true,
-	"Strs": true, "Values": true, "IntSlots": true, "StrSlots": true,
+	"Ints": true, "Int64s": true, "Floats": true,
+	"IntSlots": true, "StrSlots": true,
 }
 
 func runArenaEscape(pass *vet.Pass) error {
